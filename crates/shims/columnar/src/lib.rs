@@ -18,8 +18,11 @@
 //!   liveness bit, and optionally a signed weight. Timestamps, liveness,
 //!   and weights stay resident always; the value columns of a sealed
 //!   segment may be *spilled* to disk ([`SpillConfig`]) and are decoded
-//!   transiently on access. Fully-dead sealed segments are dropped (and
-//!   their spill files deleted) automatically.
+//!   transiently on access. Fully-dead segments are dropped (and their
+//!   spill files deleted) automatically: when the last live row of a
+//!   sealed segment dies, or at seal time if none is left. Reads visit
+//!   rows in place ([`TupleStore::with_row`], [`TupleStore::for_rows`],
+//!   [`Column::eq_at`]) and count their work ([`TupleStore::read_stats`]).
 //!
 //! Byte accounting is first-class: [`TupleStore::resident_bytes`] /
 //! [`TupleStore::spilled_bytes`] measure the actual heap/disk footprint,
@@ -278,6 +281,27 @@ impl Column {
                 let run = ends.partition_point(|&e| e as usize <= i);
                 Cell::Ts(values[run])
             }
+        }
+    }
+
+    /// `self.get(i) == *cell` without materializing the stored cell:
+    /// text compares against the dictionary entry in place.
+    pub fn eq_at(&self, i: usize, cell: &Cell) -> bool {
+        match (self, cell) {
+            (Column::Empty, Cell::Null) => true,
+            (Column::Int(v), Cell::Int(x)) => v[i] == *x,
+            (Column::Float(v), Cell::Float(x)) => v[i] == x.to_bits(),
+            (Column::Bool(v), Cell::Bool(x)) => v[i] == *x,
+            (Column::Ts(v), Cell::Ts(x)) => v[i] == *x,
+            (Column::Text { dict, codes, .. }, Cell::Text(x)) => dict[codes[i] as usize] == *x,
+            (Column::Mixed(v, _), c) => v[i] == *c,
+            (Column::RleInt { values, ends }, Cell::Int(x)) => {
+                values[ends.partition_point(|&e| e as usize <= i)] == *x
+            }
+            (Column::RleTs { values, ends }, Cell::Ts(x)) => {
+                values[ends.partition_point(|&e| e as usize <= i)] == *x
+            }
+            _ => false,
         }
     }
 
@@ -648,13 +672,6 @@ impl Segment {
             .min(n_cols)
     }
 
-    /// Materialize one row's cells (live or dead).
-    fn row(&self, off: usize) -> Vec<Cell> {
-        let cols = self.columns();
-        let arity = self.row_arity(off, cols.len());
-        (0..arity).map(|c| cols[c].get(off)).collect()
-    }
-
     fn seal(&mut self) {
         if let SegState::Resident(cols) = &mut self.state {
             for c in cols.iter_mut() {
@@ -766,6 +783,20 @@ pub struct TupleStore {
     sealed_resident: usize,
     /// Cached total of spilled segment files.
     spilled: usize,
+    /// Work counters behind [`TupleStore::read_stats`]; relaxed atomics
+    /// so reads stay `&self` and the store stays `Sync`.
+    rows_read: AtomicU64,
+    decodes: AtomicU64,
+}
+
+/// Deterministic read-work counters of a [`TupleStore`], cumulative
+/// since it was created (a clone starts from its source's counts).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadStats {
+    /// Rows handed to the in-place visitors `with_row` and `for_rows`.
+    pub rows: u64,
+    /// Spilled segments decoded from disk to serve any read.
+    pub segment_decodes: u64,
 }
 
 impl Clone for TupleStore {
@@ -788,6 +819,8 @@ impl Clone for TupleStore {
             seg_rows: self.seg_rows,
             sealed_resident,
             spilled: 0,
+            rows_read: AtomicU64::new(self.rows_read.load(Ordering::Relaxed)),
+            decodes: AtomicU64::new(self.decodes.load(Ordering::Relaxed)),
         }
     }
 }
@@ -804,6 +837,8 @@ impl TupleStore {
             seg_rows: SEG_CAP,
             sealed_resident: 0,
             spilled: 0,
+            rows_read: AtomicU64::new(0),
+            decodes: AtomicU64::new(0),
         }
     }
 
@@ -862,6 +897,21 @@ impl TupleStore {
         self.spilled
     }
 
+    pub fn read_stats(&self) -> ReadStats {
+        ReadStats {
+            rows: self.rows_read.load(Ordering::Relaxed),
+            segment_decodes: self.decodes.load(Ordering::Relaxed),
+        }
+    }
+
+    /// A segment's value columns for a read, counting spilled decodes.
+    fn read_columns<'a>(&self, s: &'a Segment) -> std::borrow::Cow<'a, [Column]> {
+        if matches!(s.state, SegState::Spilled { .. }) {
+            self.decodes.fetch_add(1, Ordering::Relaxed);
+        }
+        s.columns()
+    }
+
     /// Append a row; returns its (stable) row id.
     pub fn push(&mut self, cells: &[Cell], ts: u64) -> u64 {
         self.push_weighted(cells, ts, 1)
@@ -878,14 +928,19 @@ impl TupleStore {
             None => true,
         };
         if need_new {
-            let mut just_sealed = 0;
-            if let Some(last) = self.segs.last_mut() {
-                if !last.sealed {
-                    last.seal();
-                    just_sealed = last.resident_bytes();
+            match self.segs.last_mut() {
+                // Every row died while the segment was active: `mark_dead`
+                // only drops sealed segments, so drop it here instead of
+                // sealing an empty segment that would be kept forever.
+                Some(last) if !last.sealed && last.live == 0 => {
+                    self.segs.pop();
                 }
+                Some(last) if !last.sealed => {
+                    last.seal();
+                    self.sealed_resident += last.resident_bytes();
+                }
+                _ => {}
             }
-            self.sealed_resident += just_sealed;
             self.maybe_spill();
             self.segs.push(Segment::new(self.next_row));
         }
@@ -935,46 +990,69 @@ impl TupleStore {
         Some(i)
     }
 
-    /// Whether a row id refers to a live row.
-    pub fn is_live(&self, row: u64) -> bool {
-        self.seg_index(row)
-            .map(|i| {
-                let s = &self.segs[i];
-                !s.dead[(row - s.base) as usize]
-            })
-            .unwrap_or(false)
+    /// The segment and offset of a live row; `None` if dead or gone.
+    fn live_at(&self, row: u64) -> Option<(&Segment, usize)> {
+        let s = &self.segs[self.seg_index(row)?];
+        let off = (row - s.base) as usize;
+        (!s.dead[off]).then_some((s, off))
     }
 
     /// Materialize a live row as `(cells, ts)`; `None` if dead or gone.
     pub fn get(&self, row: u64) -> Option<(Vec<Cell>, u64)> {
-        let i = self.seg_index(row)?;
-        let s = &self.segs[i];
-        let off = (row - s.base) as usize;
-        if s.dead[off] {
-            return None;
-        }
-        Some((s.row(off), s.ts[off]))
+        let (s, off) = self.live_at(row)?;
+        let cols = self.read_columns(s);
+        let arity = s.row_arity(off, cols.len());
+        Some(((0..arity).map(|c| cols[c].get(off)).collect(), s.ts[off]))
     }
 
-    /// Timestamp of a live row.
-    pub fn ts(&self, row: u64) -> Option<u64> {
-        let i = self.seg_index(row)?;
-        let s = &self.segs[i];
-        let off = (row - s.base) as usize;
-        if s.dead[off] {
-            return None;
-        }
-        Some(s.ts[off])
+    /// Visit one live row in place: `f(columns, offset, arity, ts, weight)`,
+    /// where the row's cells are `columns[..arity]` at `offset` (compare
+    /// them with [`Column::eq_at`]). `None` if the row is dead or gone. A
+    /// spilled segment is decoded for the call.
+    pub fn with_row<R>(
+        &self,
+        row: u64,
+        f: impl FnOnce(&[Column], usize, usize, u64, i64) -> R,
+    ) -> Option<R> {
+        let (s, off) = self.live_at(row)?;
+        let cols = self.read_columns(s);
+        self.rows_read.fetch_add(1, Ordering::Relaxed);
+        let w = s.weight.get(off).copied().unwrap_or(1);
+        Some(f(&cols, off, s.row_arity(off, cols.len()), s.ts[off], w))
     }
 
-    pub fn weight(&self, row: u64) -> Option<i64> {
-        let i = self.seg_index(row)?;
-        let s = &self.segs[i];
-        let off = (row - s.base) as usize;
-        if s.dead[off] {
-            return None;
+    /// [`TupleStore::with_row`] over many rows: visits the live rows among
+    /// `rows`, which must be ascending, as `f(row, columns, offset, arity,
+    /// ts, weight)`. Each spilled segment is decoded at most once per call,
+    /// however many of its rows are visited.
+    pub fn for_rows(
+        &self,
+        rows: impl IntoIterator<Item = u64>,
+        mut f: impl FnMut(u64, &[Column], usize, usize, u64, i64),
+    ) {
+        let mut si = 0;
+        let mut cols: Option<std::borrow::Cow<'_, [Column]>> = None;
+        let mut visited = 0;
+        for row in rows {
+            let ahead = self.segs[si.min(self.segs.len())..]
+                .partition_point(|s| s.base + s.rows as u64 <= row);
+            if ahead > 0 {
+                si += ahead;
+                cols = None;
+            }
+            let Some(s) = self.segs.get(si) else {
+                break;
+            };
+            let off = match row.checked_sub(s.base) {
+                Some(off) if !s.dead[off as usize] => off as usize,
+                _ => continue, // dead, or its segment was dropped
+            };
+            let cols = cols.get_or_insert_with(|| self.read_columns(s));
+            let w = s.weight.get(off).copied().unwrap_or(1);
+            f(row, cols, off, s.row_arity(off, cols.len()), s.ts[off], w);
+            visited += 1;
         }
-        s.weight.get(off).copied()
+        self.rows_read.fetch_add(visited, Ordering::Relaxed);
     }
 
     pub fn set_weight(&mut self, row: u64, w: i64) -> bool {
@@ -1044,7 +1122,7 @@ impl TupleStore {
             if s.live == 0 {
                 continue;
             }
-            let cols = s.columns();
+            let cols = self.read_columns(s);
             for off in (s.first as usize)..s.rows as usize {
                 if s.dead[off] {
                     continue;
@@ -1282,12 +1360,13 @@ mod tests {
     #[test]
     fn weighted_rows_update_in_place() {
         let mut s = TupleStore::weighted(1);
+        let weight = |s: &TupleStore, r| s.with_row(r, |_, _, _, _, w| w);
         let r = s.push_weighted(&[Cell::Int(1)], 0, 3);
-        assert_eq!(s.weight(r), Some(3));
+        assert_eq!(weight(&s, r), Some(3));
         assert!(s.set_weight(r, -2));
-        assert_eq!(s.weight(r), Some(-2));
+        assert_eq!(weight(&s, r), Some(-2));
         s.mark_dead(r);
-        assert_eq!(s.weight(r), None);
+        assert_eq!(weight(&s, r), None);
     }
 
     #[test]
@@ -1334,6 +1413,107 @@ mod tests {
         s.clear();
         assert_eq!(s.resident_bytes(), 0);
         assert_eq!(s.spilled_bytes(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fifo_cycles_shorter_than_a_segment_stay_bounded() {
+        // Each cycle pushes fewer rows than a segment holds and kills them
+        // all before the segment fills, so every segment is already dead
+        // when it seals. It must be dropped then, not kept forever.
+        let mut s = TupleStore::weighted(3).segment_rows(8);
+        let mut max_bytes = 0;
+        for cycle in 0..10_000u64 {
+            let rows: Vec<u64> = (0..3)
+                .map(|k| s.push_weighted(&row((cycle * 3 + k) as i64), cycle, 1))
+                .collect();
+            for r in rows {
+                assert!(s.mark_dead(r));
+            }
+            assert!(
+                s.segs.len() <= 1,
+                "cycle {cycle}: {} segments",
+                s.segs.len()
+            );
+            let full: usize = s.segs.iter().map(Segment::resident_bytes).sum();
+            assert_eq!(s.resident_bytes(), full, "byte cache drifted at {cycle}");
+            max_bytes = max_bytes.max(s.resident_bytes());
+        }
+        assert!(max_bytes < 2048, "resident bytes grew to {max_bytes}");
+        assert_eq!(s.first_live(), None);
+        // A segment with a live row still seals and stays readable.
+        let keep = s.push(&row(1), 1);
+        for i in 0..8 {
+            let r = s.push(&row(i), 2);
+            s.mark_dead(r);
+        }
+        assert_eq!(s.get(keep).unwrap().0, row(1));
+        assert_eq!(s.first_live(), Some((keep, 1)));
+    }
+
+    #[test]
+    fn eq_at_compares_in_place_with_cell_equality() {
+        let mut s = TupleStore::new(1).segment_rows(4);
+        let cells = [
+            Cell::Int(3),
+            Cell::Int(3),
+            Cell::Int(3),
+            Cell::Int(3),
+            Cell::Float(f64::NAN),
+            Cell::Float(-0.0),
+            Cell::Text("a".into()),
+            Cell::Null,
+        ];
+        for (i, c) in cells.iter().enumerate() {
+            s.push(std::slice::from_ref(c), i as u64);
+        }
+        let probes = [
+            Cell::Int(3),
+            Cell::Float(3.0),
+            Cell::Float(f64::NAN),
+            Cell::Float(0.0),
+            Cell::Float(-0.0),
+            Cell::Text("a".into()),
+            Cell::Text("b".into()),
+            Cell::Null,
+        ];
+        // The first segment is sealed and RLE'd, the second is Mixed.
+        for (i, stored) in cells.iter().enumerate() {
+            for p in &probes {
+                let got = s.with_row(i as u64, |cols, off, arity, _, _| {
+                    arity == 1 && cols[0].eq_at(off, p)
+                });
+                assert_eq!(got, Some(stored == p), "row {i} vs {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn for_rows_decodes_each_spilled_segment_once() {
+        let dir = std::env::temp_dir().join(format!("colshim-rows-{}", std::process::id()));
+        let mut s = TupleStore::weighted(3)
+            .segment_rows(8)
+            .with_spill(Some(SpillConfig::new(0, &dir)));
+        for i in 0..40i64 {
+            s.push_weighted(&row(i), i as u64, i + 1);
+        }
+        assert!(s.spilled_bytes() > 0);
+        s.mark_dead(2);
+        let before = s.read_stats();
+        let wanted: Vec<u64> = (0..40).filter(|r| r % 3 != 1).collect();
+        let mut seen = Vec::new();
+        s.for_rows(wanted.iter().copied(), |r, cols, off, arity, ts, w| {
+            let cells: Vec<Cell> = (0..arity).map(|c| cols[c].get(off)).collect();
+            assert_eq!(cells, row(r as i64));
+            assert_eq!((ts, w), (r, r as i64 + 1));
+            seen.push(r);
+        });
+        let expect: Vec<u64> = wanted.into_iter().filter(|&r| r != 2).collect();
+        assert_eq!(seen, expect, "live rows only, in the order asked");
+        let after = s.read_stats();
+        assert_eq!(after.rows - before.rows, expect.len() as u64);
+        // Four sealed segments spilled; the active fifth is resident.
+        assert_eq!(after.segment_decodes - before.segment_decodes, 4);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -153,27 +153,34 @@ impl DeltaOp for JoinOp {
             let key = self.key_of(&delta.tuple, is_left);
             // Update own side's state first so self-joins on the same
             // batch behave like set-at-a-time semantics.
-            if is_left {
-                self.left.update(key.clone(), &delta.tuple, delta.sign);
+            let (own, other) = if is_left {
+                (&mut self.left, &self.right)
             } else {
-                self.right.update(key.clone(), &delta.tuple, delta.sign);
-            }
-            let other = if is_left { &self.right } else { &self.left };
-            for (match_tuple, mult) in other.get(&key) {
-                let joined = if is_left {
-                    delta.tuple.join(&match_tuple)
-                } else {
-                    match_tuple.join(&delta.tuple)
-                };
+                (&mut self.right, &self.left)
+            };
+            own.update(&key, &delta.tuple, delta.sign);
+            let mut failed = None;
+            other.probe(&key, &delta.tuple, is_left, |joined, mult| {
+                if failed.is_some() {
+                    return;
+                }
                 if let Some(residual) = &self.residual {
-                    if !residual.eval_bool(&joined)? {
-                        continue;
+                    match residual.eval_bool(&joined) {
+                        Ok(true) => {}
+                        Ok(false) => return,
+                        Err(e) => {
+                            failed = Some(e);
+                            return;
+                        }
                     }
                 }
                 out.push(Delta {
                     tuple: joined,
                     sign: delta.sign * mult,
                 });
+            });
+            if let Some(e) = failed {
+                return Err(e);
             }
         }
         Ok(out)

@@ -1,10 +1,11 @@
 //! Operator state: keyed/unkeyed tuple multisets in a row or columnar
 //! layout, with byte accounting and an optional spill tier.
 //!
-//! A [`KeyedState`] maps a join/group key (a `Vec<Value>`) to the multiset
-//! of live tuples carrying that key. Multiplicity bookkeeping is what
-//! makes retraction exact: a tuple inserted twice must be retracted twice
-//! before it disappears.
+//! A [`KeyedState`] maps a join key (a `Vec<Value>`) to the multiset of
+//! live tuples carrying that key. Multiplicity bookkeeping is what makes
+//! retraction exact: a tuple inserted twice must be retracted twice
+//! before it disappears. Its read path is [`KeyedState::probe`], which
+//! emits joined tuples directly.
 //!
 //! Both [`KeyedState`] and [`BagState`] (and the window buffers built on
 //! [`ColumnarDeque`]) come in two layouts, chosen at construction via
@@ -14,12 +15,16 @@
 //!   state, and the baseline the E20 bench compares against.
 //! * **Columnar** (the default) — tuples are decomposed into per-column
 //!   primitive vectors in a `columnar::TupleStore` (dictionary-coded
-//!   text, RLE'd sealed segments), indexed by tuple/key hash. Hot-path
-//!   probes compare cells against a converted probe row — no `Value`
-//!   materialization — and resident bytes are *measured*, not estimated.
-//!   With a [`SpillConfig`], cold sealed segments page to disk and are
-//!   decoded transiently on access, so retained tables and large join
-//!   states outgrow RAM gracefully.
+//!   text, RLE'd sealed segments), reached through hash indexes of row
+//!   ids, and resident bytes are *measured*, not estimated. Lookups
+//!   compare stored cells in place ([`columnar::Column::eq_at`]): keyed
+//!   updates and bag retractions decode no candidate row, and a keyed
+//!   probe converts only the matching rows' tuple cells into `Value`s,
+//!   straight into the joined output. Snapshots, window pops and bag
+//!   replays still materialize whole tuples. With a [`SpillConfig`],
+//!   cold sealed segments page to disk and are decoded transiently on
+//!   access (once per probe, not once per row), so retained tables and
+//!   large join states outgrow RAM gracefully.
 //!
 //! Retraction multiplicities and per-occurrence arrival order are layout
 //! invariants: row ids in the columnar stores are assigned in arrival
@@ -31,7 +36,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 use aspen_types::{DataType, SimTime, Tuple, Value};
-use columnar::{Cell, TupleStore};
+use columnar::{Cell, Column, TupleStore};
 
 use crate::delta::{Delta, DeltaBatch};
 
@@ -220,14 +225,14 @@ impl KeyedState {
     }
 
     /// Apply a signed update; returns the tuple's new multiplicity.
-    pub fn update(&mut self, key: Vec<Value>, tuple: &Tuple, sign: i64) -> i64 {
+    pub fn update(&mut self, key: &[Value], tuple: &Tuple, sign: i64) -> i64 {
         match &mut self.inner {
             KeyedInner::Row { map, live, bytes } => {
-                let new_bucket = !map.contains_key(&key);
-                if new_bucket {
-                    *bytes += key_heap_bytes(&key) + MAP_ENTRY;
+                if !map.contains_key(key) {
+                    *bytes += key_heap_bytes(key) + MAP_ENTRY;
+                    map.insert(key.to_vec(), HashMap::new());
                 }
-                let bucket = map.entry(key).or_default();
+                let bucket = map.get_mut(key).expect("bucket exists");
                 let new_entry = !bucket.contains_key(tuple);
                 if new_entry {
                     *bytes += tuple_heap_bytes(tuple) + MAP_ENTRY;
@@ -246,30 +251,34 @@ impl KeyedState {
                 *live = (*live as i64 + now.max(0) - old.max(0)) as usize;
                 now
             }
-            KeyedInner::Col(c) => c.update(&key, tuple, sign),
+            KeyedInner::Col(c) => c.update(key, tuple, sign),
         }
     }
 
-    /// The live tuples under a key with their multiplicities.
-    pub fn get(&self, key: &[Value]) -> Vec<(Tuple, i64)> {
+    /// Join `probe` against every live tuple under `key`: emits each
+    /// joined tuple — `probe ++ match` if `probe_on_left`, else
+    /// `match ++ probe`, stamped with the later timestamp — with the
+    /// match's multiplicity. Negative multiplicities are emitted too.
+    /// Columnar state emits in arrival order.
+    pub fn probe(
+        &self,
+        key: &[Value],
+        probe: &Tuple,
+        probe_on_left: bool,
+        mut emit: impl FnMut(Tuple, i64),
+    ) {
         match &self.inner {
-            KeyedInner::Row { map, .. } => map
-                .get(key)
-                .into_iter()
-                .flat_map(|b| b.iter().map(|(t, c)| (t.clone(), *c)))
-                .collect(),
-            KeyedInner::Col(c) => c.matches(key),
-        }
-    }
-
-    /// Every `(key, tuple, multiplicity)` triple.
-    pub fn iter_all(&self) -> Vec<(Vec<Value>, Tuple, i64)> {
-        match &self.inner {
-            KeyedInner::Row { map, .. } => map
-                .iter()
-                .flat_map(|(k, b)| b.iter().map(move |(t, c)| (k.clone(), t.clone(), *c)))
-                .collect(),
-            KeyedInner::Col(c) => c.iter_all(),
+            KeyedInner::Row { map, .. } => {
+                for (t, &c) in map.get(key).into_iter().flatten() {
+                    let joined = if probe_on_left {
+                        probe.join(t)
+                    } else {
+                        t.join(probe)
+                    };
+                    emit(joined, c);
+                }
+            }
+            KeyedInner::Col(c) => c.probe(key, probe, probe_on_left, emit),
         }
     }
 
@@ -312,15 +321,26 @@ impl KeyedState {
 }
 
 /// Columnar keyed multiset: each live `(key, tuple, multiplicity)` entry
-/// is one weighted row (key cells ++ tuple cells) in a [`TupleStore`],
-/// reached through a key-hash index. Probes convert the key once and
-/// compare cells — no per-candidate `Value` materialization.
+/// is one weighted row (key cells ++ tuple cells) in a [`TupleStore`].
+/// A key-hash index holds, per key, each entry's `(entry tag, row id)`
+/// in arrival order, where the tag hashes `(key, tuple values, ts)`:
+/// 16 bytes per entry and no second per-entry map.
+///
+/// * An update scans the key's `u64` tags and verifies only the tag hits
+///   in place, so it reads one stored row (plus any 64-bit tag
+///   collisions) however many entries share the key. A retraction to
+///   zero removes the entry from its bucket at its position.
+/// * A probe walks the key's rows once in row-id order, decoding each
+///   spilled segment at most once, skips rows of other keys with the
+///   same key hash by comparing key cells in place, and builds each
+///   joined tuple straight from the columns.
 #[derive(Debug, Clone)]
 pub struct ColumnarKeyedState {
     store: TupleStore,
-    /// key hash → live row ids (insertion order). Buckets are kept when
-    /// emptied so `key_count` matches the row layout's "keys ever seen".
-    index: HashMap<u64, Vec<u64>>,
+    /// key hash → `(entry tag, row id)` of each live entry, in arrival
+    /// (= ascending row id) order. Buckets are kept when emptied so
+    /// `key_count` matches the row layout's "keys ever seen".
+    index: HashMap<u64, Vec<(u64, u64)>>,
     key_width: Option<usize>,
     /// Gross live count: Σ max(weight, 0).
     live: usize,
@@ -341,74 +361,93 @@ impl ColumnarKeyedState {
     fn update(&mut self, key: &[Value], tuple: &Tuple, sign: i64) -> i64 {
         let kw = *self.key_width.get_or_insert(key.len());
         debug_assert_eq!(kw, key.len(), "key arity is fixed per state");
-        let mut probe: Vec<Cell> = key.iter().map(value_to_cell).collect();
-        probe.extend(tuple.values().iter().map(value_to_cell));
         let ts = tuple.timestamp().as_micros();
+        let tag = hash_of(&(key, tuple.values(), ts));
+        let cells: Vec<Cell> = key
+            .iter()
+            .chain(tuple.values())
+            .map(value_to_cell)
+            .collect();
         let bucket = self.index.entry(hash_of(&key)).or_default();
-        for (i, &row) in bucket.iter().enumerate() {
-            let Some((cells, rts)) = self.store.get(row) else {
-                continue;
-            };
-            if rts != ts || cells != probe {
-                continue;
+        let store = &self.store;
+        let hit = bucket
+            .iter()
+            .enumerate()
+            .filter(|(_, &(t, _))| t == tag)
+            .find_map(|(pos, &(_, row))| {
+                weight_if_equal(store, row, &cells, ts).map(|w| (pos, row, w))
+            });
+        let Some((pos, row, old)) = hit else {
+            if sign == 0 {
+                return 0;
             }
-            let old = self.store.weight(row).unwrap_or(0);
-            let now = old + sign;
-            self.live = (self.live as i64 + now.max(0) - old.max(0)) as usize;
-            if now == 0 {
-                self.store.mark_dead(row);
-                bucket.remove(i);
-            } else {
-                self.store.set_weight(row, now);
-            }
-            return now;
+            let row = self.store.push_weighted(&cells, ts, sign);
+            bucket.push((tag, row));
+            self.live += sign.max(0) as usize;
+            return sign;
+        };
+        let now = old + sign;
+        self.live = (self.live as i64 + now.max(0) - old.max(0)) as usize;
+        if now == 0 {
+            self.store.mark_dead(row);
+            bucket.remove(pos);
+        } else {
+            self.store.set_weight(row, now);
         }
-        if sign == 0 {
-            return 0;
-        }
-        let row = self.store.push_weighted(&probe, ts, sign);
-        bucket.push(row);
-        self.live = (self.live as i64 + sign.max(0)) as usize;
-        sign
+        now
     }
 
-    fn matches(&self, key: &[Value]) -> Vec<(Tuple, i64)> {
-        let Some(kw) = self.key_width else {
-            return Vec::new();
+    fn probe(
+        &self,
+        key: &[Value],
+        probe: &Tuple,
+        probe_on_left: bool,
+        mut emit: impl FnMut(Tuple, i64),
+    ) {
+        let (Some(kw), Some(bucket)) = (self.key_width, self.index.get(&hash_of(&key))) else {
+            return;
         };
         let key_cells: Vec<Cell> = key.iter().map(value_to_cell).collect();
-        let mut out = Vec::new();
-        if let Some(bucket) = self.index.get(&hash_of(&key)) {
-            for &row in bucket {
-                let Some((mut cells, ts)) = self.store.get(row) else {
-                    continue;
-                };
-                if cells.len() < kw || cells[..kw] != key_cells[..] {
-                    continue;
-                }
-                let w = self.store.weight(row).unwrap_or(0);
-                let tuple_part = cells.split_off(kw);
-                out.push((cells_tuple(tuple_part, ts), w));
+        let probe_ts = probe.timestamp();
+        let rows = bucket.iter().map(|&(_, row)| row);
+        self.store.for_rows(rows, |_, cols, off, arity, ts, w| {
+            if arity < kw || !starts_with_at(cols, off, &key_cells) {
+                return; // another key with the same hash
             }
-        }
-        out
-    }
-
-    fn iter_all(&self) -> Vec<(Vec<Value>, Tuple, i64)> {
-        let kw = self.key_width.unwrap_or(0);
-        let mut out = Vec::new();
-        self.store.for_each_live(|_, mut cells, ts, w| {
-            let tuple_part = cells.split_off(kw.min(cells.len()));
-            let key: Vec<Value> = cells.into_iter().map(cell_to_value).collect();
-            out.push((key, cells_tuple(tuple_part, ts), w));
+            let stored = (kw..arity).map(|c| cell_to_value(cols[c].get(off)));
+            let ts = probe_ts.max(SimTime::from_micros(ts));
+            let joined = if probe_on_left {
+                Tuple::from_values(probe.values().iter().cloned().chain(stored), ts)
+            } else {
+                Tuple::from_values(stored.chain(probe.values().iter().cloned()), ts)
+            };
+            emit(joined, w);
         });
-        out
     }
 
     fn state_bytes(&self) -> usize {
-        let index_bytes: usize = self.index.values().map(|b| MAP_ENTRY + b.len() * 8).sum();
+        let index_bytes: usize = self.index.values().map(|b| MAP_ENTRY + b.len() * 16).sum();
         self.store.resident_bytes() + index_bytes
     }
+}
+
+/// The weight of live `row` if it holds exactly `cells` at `ts`, compared
+/// in place.
+fn weight_if_equal(store: &TupleStore, row: u64, cells: &[Cell], ts: u64) -> Option<i64> {
+    store
+        .with_row(row, |cols, off, arity, rts, w| {
+            (rts == ts && arity == cells.len() && starts_with_at(cols, off, cells)).then_some(w)
+        })
+        .flatten()
+}
+
+/// Whether the row at `off` starts with `cells`, compared in place. The
+/// caller checks that the row has at least `cells.len()` cells.
+fn starts_with_at(cols: &[Column], off: usize, cells: &[Cell]) -> bool {
+    cells
+        .iter()
+        .zip(cols)
+        .all(|(cell, col)| col.eq_at(off, cell))
 }
 
 // ---------------------------------------------------------------------------
@@ -629,10 +668,7 @@ impl ColumnarBag {
     }
 
     fn row_equals(&self, row: u64, cells: &[Cell], ts: u64) -> bool {
-        match self.store.get(row) {
-            Some((rc, rts)) => rts == ts && rc == cells,
-            None => false,
-        }
+        weight_if_equal(&self.store, row, cells, ts).is_some()
     }
 
     fn insert_one(&mut self, tuple: &Tuple) {
@@ -792,6 +828,14 @@ mod tests {
         Tuple::new(vec![Value::Int(v)], SimTime::ZERO)
     }
 
+    /// The live `(tuple, multiplicity)` entries under `key`: a probe with
+    /// an empty tuple joins to exactly the stored tuple.
+    fn entries(s: &KeyedState, key: &[Value]) -> Vec<(Tuple, i64)> {
+        let mut out = Vec::new();
+        s.probe(key, &Tuple::row(vec![]), true, |t, w| out.push((t, w)));
+        out
+    }
+
     fn both_keyed(test: impl Fn(KeyedState)) {
         test(KeyedState::new());
         test(KeyedState::with_options(&StateOptions::columnar()));
@@ -806,25 +850,30 @@ mod tests {
     fn multiplicity_tracking() {
         both_keyed(|mut s| {
             let k = vec![Value::Int(1)];
-            assert_eq!(s.update(k.clone(), &t(10), 1), 1);
-            assert_eq!(s.update(k.clone(), &t(10), 1), 2);
-            assert_eq!(s.update(k.clone(), &t(10), -1), 1);
+            assert_eq!(s.update(&k, &t(10), 1), 1);
+            assert_eq!(s.update(&k, &t(10), 1), 2);
+            assert_eq!(entries(&s, &k), vec![(t(10), 2)]);
+            assert_eq!(s.update(&k, &t(10), -1), 1);
             assert_eq!(s.len(), 1);
-            assert_eq!(s.update(k.clone(), &t(10), -1), 0);
+            assert_eq!(s.update(&k, &t(10), -1), 0);
             assert!(s.is_empty());
-            assert_eq!(s.get(&k).len(), 0);
+            assert_eq!(entries(&s, &k).len(), 0);
         });
     }
 
     #[test]
     fn separate_keys_are_independent() {
         both_keyed(|mut s| {
-            s.update(vec![Value::Int(1)], &t(10), 1);
-            s.update(vec![Value::Int(2)], &t(20), 1);
+            s.update(&[Value::Int(1)], &t(10), 1);
+            s.update(&[Value::Int(2)], &t(20), 1);
             assert_eq!(s.key_count(), 2);
-            assert_eq!(s.get(&[Value::Int(1)]).len(), 1);
-            assert_eq!(s.get(&[Value::Int(3)]).len(), 0);
-            assert_eq!(s.iter_all().len(), 2);
+            assert_eq!(s.len(), 2);
+            assert_eq!(entries(&s, &[Value::Int(1)]), vec![(t(10), 1)]);
+            assert_eq!(entries(&s, &[Value::Int(2)]), vec![(t(20), 1)]);
+            assert_eq!(entries(&s, &[Value::Int(3)]).len(), 0);
+            // Emptied keys still count as seen.
+            s.update(&[Value::Int(2)], &t(20), -1);
+            assert_eq!(s.key_count(), 2);
         });
     }
 
@@ -887,9 +936,10 @@ mod tests {
         // must not panic; the multiset goes negative and heals later.
         both_keyed(|mut s| {
             let k = vec![Value::Int(1)];
-            assert_eq!(s.update(k.clone(), &t(5), -1), -1);
-            assert_eq!(s.update(k.clone(), &t(5), 1), 0);
-            assert_eq!(s.get(&k).len(), 0);
+            assert_eq!(s.update(&k, &t(5), -1), -1);
+            assert_eq!(entries(&s, &k), vec![(t(5), -1)], "probes see debts");
+            assert_eq!(s.update(&k, &t(5), 1), 0);
+            assert_eq!(entries(&s, &k).len(), 0);
         });
     }
 
@@ -900,15 +950,15 @@ mod tests {
         // as a net new tuple — `len()` over-reported forever after.
         both_keyed(|mut s| {
             let k = vec![Value::Int(1)];
-            s.update(k.clone(), &t(5), -1);
+            s.update(&k, &t(5), -1);
             assert_eq!(s.len(), 0, "negative entries are not live");
-            s.update(k.clone(), &t(5), 1);
+            s.update(&k, &t(5), 1);
             assert_eq!(s.len(), 0, "healing insert must not inflate len");
             assert!(s.is_empty());
             // The state still works normally afterwards.
-            s.update(k.clone(), &t(5), 1);
+            s.update(&k, &t(5), 1);
             assert_eq!(s.len(), 1);
-            s.update(k.clone(), &t(5), -1);
+            s.update(&k, &t(5), -1);
             assert_eq!(s.len(), 0);
         });
     }
@@ -920,14 +970,57 @@ mod tests {
         let nan = Tuple::new(vec![Value::Float(f64::NAN)], SimTime::from_secs(3));
         let int3 = Tuple::new(vec![Value::Int(3)], SimTime::from_secs(3));
         let float3 = Tuple::new(vec![Value::Float(3.0)], SimTime::from_secs(3));
-        s.update(key.clone(), &nan, 1);
-        s.update(key.clone(), &int3, 1);
-        s.update(key.clone(), &float3, 1);
-        let got = s.get(&key);
-        assert_eq!(got.len(), 3, "Int(3) and Float(3.0) stay distinct");
-        // NaN round-trips and matches itself on retraction.
-        assert_eq!(s.update(key.clone(), &nan, -1), 0);
-        assert_eq!(s.len(), 2);
+        let zero = Tuple::new(vec![Value::Float(0.0)], SimTime::from_secs(3));
+        let neg_zero = Tuple::new(vec![Value::Float(-0.0)], SimTime::from_secs(3));
+        for tuple in [&nan, &int3, &float3, &zero, &neg_zero] {
+            s.update(&key, tuple, 1);
+        }
+        // Int(3) and Float(3.0) stay distinct, as do 0.0 and -0.0; the
+        // probe returns exact values in arrival order.
+        let got: Vec<Tuple> = entries(&s, &key).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(got.len(), 5);
+        assert!(matches!(got[0].get(0), Value::Float(f) if f.is_nan()));
+        assert_eq!(&got[1..], &[int3, float3, zero.clone(), neg_zero]);
+        // NaN round-trips and matches itself on retraction; -0.0 does not
+        // retract 0.0.
+        assert_eq!(s.update(&key, &nan, -1), 0);
+        assert_eq!(s.len(), 4);
+        let minus = Tuple::new(vec![Value::Float(-0.0)], SimTime::from_secs(3));
+        assert_eq!(s.update(&key, &minus, -1), 0);
+        assert_eq!(entries(&s, &key).last().map(|(t, _)| t), Some(&zero));
+        // A NaN key finds its own bucket; a Float key never matches Int.
+        s.update(&[Value::Float(f64::NAN)], &int3_at(4), 1);
+        assert_eq!(entries(&s, &[Value::Float(f64::NAN)]).len(), 1);
+        assert_eq!(entries(&s, &[Value::Float(1.0)]).len(), 0);
+        assert_eq!(entries(&s, &[Value::Int(1)]).len(), 3);
+    }
+
+    fn int3_at(secs: u64) -> Tuple {
+        Tuple::new(vec![Value::Int(3)], SimTime::from_secs(secs))
+    }
+
+    #[test]
+    fn probe_builds_joined_tuples_on_either_side() {
+        both_keyed(|mut s| {
+            let k = vec![Value::Text("room".into())];
+            let stored = Tuple::new(
+                vec![Value::Text("room".into()), Value::Int(7)],
+                SimTime::from_secs(5),
+            );
+            s.update(&k, &stored, 2);
+            let early = Tuple::new(vec![Value::Float(1.5)], SimTime::from_secs(2));
+            let late = Tuple::new(vec![Value::Float(2.5)], SimTime::from_secs(9));
+            let mut got = Vec::new();
+            s.probe(&k, &early, true, |t, w| got.push((t, w)));
+            s.probe(&k, &late, false, |t, w| got.push((t, w)));
+            s.probe(&[Value::Text("hall".into())], &late, true, |t, w| {
+                got.push((t, w))
+            });
+            let want = vec![(early.join(&stored), 2), (stored.join(&late), 2)];
+            assert_eq!(got, want);
+            assert_eq!(got[0].0.timestamp(), SimTime::from_secs(5));
+            assert_eq!(got[1].0.timestamp(), SimTime::from_secs(9));
+        });
     }
 
     #[test]
@@ -943,8 +1036,8 @@ mod tests {
                 ],
                 SimTime::from_secs(i as u64),
             );
-            row.update(vec![Value::Int(i % 16)], &tuple, 1);
-            col.update(vec![Value::Int(i % 16)], &tuple, 1);
+            row.update(&[Value::Int(i % 16)], &tuple, 1);
+            col.update(&[Value::Int(i % 16)], &tuple, 1);
         }
         assert_eq!(row.len(), col.len());
         assert!(
@@ -953,6 +1046,181 @@ mod tests {
             col.state_bytes(),
             row.state_bytes()
         );
+    }
+
+    /// Test-only reference for keyed state: a `HashMap` multiset per key,
+    /// plus each live entry's creation sequence for the arrival order.
+    #[derive(Default)]
+    struct Oracle {
+        keys: HashMap<Vec<Value>, OracleKey>,
+        next_seq: u64,
+        live: usize,
+    }
+
+    #[derive(Default)]
+    struct OracleKey {
+        seq_of: HashMap<Tuple, u64>,
+        by_seq: std::collections::BTreeMap<u64, (Tuple, i64)>,
+    }
+
+    impl Oracle {
+        fn update(&mut self, key: &[Value], tuple: &Tuple, sign: i64) -> i64 {
+            let k = self.keys.entry(key.to_vec()).or_default();
+            let seq = *k.seq_of.entry(tuple.clone()).or_insert_with(|| {
+                self.next_seq += 1;
+                self.next_seq
+            });
+            let old = k.by_seq.get(&seq).map_or(0, |e| e.1);
+            let now = old + sign;
+            self.live = (self.live as i64 + now.max(0) - old.max(0)) as usize;
+            if now == 0 {
+                k.seq_of.remove(tuple);
+                k.by_seq.remove(&seq);
+            } else {
+                k.by_seq.insert(seq, (tuple.clone(), now));
+            }
+            now
+        }
+
+        fn entries(&self, key: &[Value]) -> Vec<(Tuple, i64)> {
+            self.keys[key].by_seq.values().cloned().collect()
+        }
+    }
+
+    /// Skewed-key churn against the oracle. After every step: the
+    /// returned multiplicity, `len`, `key_count`, and the rows the update
+    /// read. Every `probe_every` steps, and for every key at the end: the
+    /// touched key's probe (values, multiplicities, arrival order) and its
+    /// work. Work is counted, not timed: an update reads at most the rows
+    /// whose entry tag equals its own (1 unless 64-bit tags collide), a
+    /// probe reads exactly its key's live rows and decodes each spilled
+    /// segment at most once. Probing every step would cost O(steps × key
+    /// size) unoptimized; the per-step checks already pin the state.
+    fn skewed_churn(
+        keys: &[Vec<Value>],
+        steps: usize,
+        probe_every: usize,
+        spill: Option<SpillConfig>,
+        seed: u64,
+    ) {
+        use rand::Rng;
+        let mut rng = aspen_types::rng::seeded(seed);
+        let mut s = ColumnarKeyedState::new(spill.clone());
+        let mut oracle = Oracle::default();
+        let pool = (steps / 4).max(8);
+        let specials = [f64::NAN, -0.0, 0.0, 1.5];
+        let mut decodes = 0;
+        for step in 0..steps {
+            let key = &keys[rng.gen_range(0..keys.len())];
+            let i = rng.gen_range(0..pool) as i64;
+            // Int-vs-Float twins and NaN / ±0.0 cells; ts repeats too.
+            let id = if i % 2 == 0 {
+                Value::Int(i / 2)
+            } else {
+                Value::Float((i / 2) as f64)
+            };
+            let tuple = Tuple::new(
+                vec![
+                    id,
+                    Value::Float(specials[i as usize % 4]),
+                    Value::Text(format!("desk-{}", i % 7)),
+                ],
+                SimTime::from_secs((i % 5) as u64),
+            );
+            // Retractions pick random pool tuples, so some arrive before
+            // their insertion and drive the entry negative.
+            let sign = match rng.gen_range(0..10) {
+                0..=5 => 1,
+                6 => 2,
+                _ => -1,
+            };
+            let tag = hash_of(&(
+                key.as_slice(),
+                tuple.values(),
+                tuple.timestamp().as_micros(),
+            ));
+            let same_tag = s
+                .index
+                .get(&hash_of(&key.as_slice()))
+                .map_or(0, |b| b.iter().filter(|e| e.0 == tag).count());
+            let before = s.store.read_stats();
+            let got = s.update(key, &tuple, sign);
+            let read = s.store.read_stats().rows - before.rows;
+            assert_eq!(got, oracle.update(key, &tuple, sign), "step {step}");
+            assert!(
+                read as usize <= same_tag,
+                "step {step}: update read {read} rows"
+            );
+            assert_eq!(s.live, oracle.live, "step {step}: len");
+            assert_eq!(s.index.len(), oracle.keys.len(), "step {step}: key_count");
+            if step % probe_every == 0 {
+                decodes += check_probe(&s, &oracle, key);
+            }
+        }
+        for key in keys {
+            decodes += check_probe(&s, &oracle, key);
+        }
+        assert!(s.live > steps / 8, "churn left only {} live", s.live);
+        if spill.is_some() {
+            assert!(decodes > 0, "probes never read a spilled segment");
+        }
+    }
+
+    /// Probe `key` against the oracle and check the probe's work; returns
+    /// the spilled segments it decoded.
+    fn check_probe(s: &ColumnarKeyedState, oracle: &Oracle, key: &[Value]) -> u64 {
+        let want = oracle.entries(key);
+        let rows = s.index[&hash_of(&key)].iter().map(|e| e.1);
+        let segments: std::collections::HashSet<u64> =
+            rows.map(|r| r / SEGMENT_ROWS as u64).collect();
+        let before = s.store.read_stats();
+        let mut got = Vec::new();
+        s.probe(key, &Tuple::row(vec![]), true, |t, w| got.push((t, w)));
+        let after = s.store.read_stats();
+        assert_eq!(got, want, "probe of {key:?}");
+        assert_eq!(after.rows - before.rows, want.len() as u64, "rows read");
+        let decodes = after.segment_decodes - before.segment_decodes;
+        assert!(decodes <= segments.len() as u64, "{decodes} decodes");
+        decodes
+    }
+
+    #[test]
+    fn skewed_key_churn_matches_oracle_one_hot_key() {
+        skewed_churn(&[vec![Value::Text("room-0".into())]], 5_000, 4, None, 13);
+    }
+
+    #[test]
+    fn skewed_key_churn_matches_oracle_ten_keys() {
+        let keys: Vec<Vec<Value>> = [
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Null,
+            Value::Bool(true),
+            Value::Text("lab-1".into()),
+            Value::Text("lab-2".into()),
+        ]
+        .into_iter()
+        .map(|v| vec![v, Value::Int(1)])
+        .collect();
+        skewed_churn(&keys, 20_000, 16, None, 17);
+    }
+
+    #[test]
+    fn skewed_key_churn_matches_oracle_with_spill() {
+        let dir = std::env::temp_dir().join(format!("aspen-keyed-spill-{}", std::process::id()));
+        let spill = SpillConfig::new(4 * 1024, &dir);
+        skewed_churn(
+            &[vec![Value::Text("room-0".into())]],
+            5_000,
+            8,
+            Some(spill),
+            19,
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

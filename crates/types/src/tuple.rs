@@ -27,6 +27,16 @@ impl Tuple {
         }
     }
 
+    /// Row from an exact-size value iterator. Chains of slice clones and
+    /// mapped ranges allocate the shared value slice once, where `new`
+    /// allocates the `Vec` and then copies it into the slice.
+    pub fn from_values(values: impl IntoIterator<Item = Value>, timestamp: SimTime) -> Self {
+        Tuple {
+            values: values.into_iter().collect(),
+            timestamp,
+        }
+    }
+
     /// Row with all-default timestamp; convenient for static tables.
     pub fn row(values: Vec<Value>) -> Self {
         Tuple::new(values, SimTime::ZERO)
@@ -64,10 +74,10 @@ impl Tuple {
     /// Concatenate two tuples (join output); timestamp is the *later* of
     /// the two inputs, the standard stream-join convention.
     pub fn join(&self, right: &Tuple) -> Tuple {
-        let mut vals = Vec::with_capacity(self.len() + right.len());
-        vals.extend_from_slice(&self.values);
-        vals.extend_from_slice(&right.values);
-        Tuple::new(vals, self.timestamp.max(right.timestamp))
+        Tuple::from_values(
+            self.values.iter().chain(right.values.iter()).cloned(),
+            self.timestamp.max(right.timestamp),
+        )
     }
 
     /// Keep only the listed columns, in order.

@@ -538,9 +538,16 @@ fn migration_churn_shard_invariance_with_push_subscriptions() {
         // merged ingest→apply sample count and the profiled delta count
         // are nonzero and identical across shard counts — a migration
         // that dropped or re-recorded either would break equality here.
+        // Read `Fresh`: a pool shard may still hold queued batches, which
+        // the default `Cut` read would not wait for.
         let latency_counts: Vec<u64> = clients
             .iter()
-            .map(|c| c.engine.telemetry().ingest_latency().count())
+            .map(|c| {
+                c.engine
+                    .telemetry_at(Consistency::Fresh)
+                    .ingest_latency()
+                    .count()
+            })
             .collect();
         assert!(latency_counts[0] > 0, "no latencies recorded (seed {seed})");
         assert!(
@@ -549,7 +556,12 @@ fn migration_churn_shard_invariance_with_push_subscriptions() {
         );
         let profiled: Vec<u64> = clients
             .iter()
-            .map(|c| c.engine.telemetry().profile.total_deltas())
+            .map(|c| {
+                c.engine
+                    .telemetry_at(Consistency::Fresh)
+                    .profile
+                    .total_deltas()
+            })
             .collect();
         assert!(
             profiled.windows(2).all(|w| w[0] == w[1]),
